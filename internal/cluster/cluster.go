@@ -220,12 +220,9 @@ type Node struct {
 	// resolve their weight through it.
 	shares *shares.Tree
 
-	// shard/coord are set only in sharded mode (NewSharded): shard owns
-	// this node's devices, NICs and schedulers; coord is the
-	// coordinator shard whose engine drives the control plane and to
-	// which every completion callback bounces back.
+	// shard is set only in sharded mode (NewSharded): it owns this
+	// node's devices, NICs and schedulers.
 	shard *sim.Shard
-	coord *sim.Shard
 }
 
 // FreeCores returns unallocated CPU slots.
@@ -346,7 +343,6 @@ func assemble(eng *sim.Engine, fab *sim.Fabric, cfg Config) (*Cluster, error) {
 		nodeEng := eng
 		if fab != nil {
 			n.shard = fab.Shard(i + 1)
-			n.coord = fab.Shard(0)
 			nodeEng = n.shard.Engine()
 		}
 		n.HDFS = storage.NewDevice(nodeEng, fmt.Sprintf("node%d-hdfs", i), cfg.HDFSDisk)
@@ -477,7 +473,7 @@ func (c *Cluster) attach(n *Node, eng *sim.Engine, dev string, s iosched.Schedul
 			p := c.fed.partOf(n.Index, c.cfg.Nodes)
 			tr = &fedTransport{part: c.fed.parts[p], inj: c.cfg.Faults, shard: n.shard, pshard: c.fed.shards[p]}
 		} else {
-			tr = &shardedTransport{b: c.Broker, inj: c.cfg.Faults, shard: n.shard, coord: n.coord}
+			tr = &shardedTransport{b: c.Broker, inj: c.cfg.Faults, shard: n.shard, coord: c.fabric.Shard(0)}
 		}
 	}
 	client := broker.NewClientWithOptions(eng, id, sfq.Accounting(), broker.ClientOptions{
@@ -665,137 +661,57 @@ func (c *Cluster) TotalCores() int {
 // to the HDFS device's scheduler, intermediate classes to the local
 // device's scheduler — the routing the IBIS interposition layer
 // performs in DataNode and NodeManager. A request without a weight
-// source resolves through the cluster's share tree. A non-nil error
-// means the request was rejected and will never complete.
+// source resolves through the cluster's share tree. The caller runs on
+// n's shard (the single engine when there is no fabric), and OnDone
+// fires there too. A non-nil error means the request was rejected and
+// will never complete.
 func (n *Node) SubmitIO(req *iosched.Request) error {
 	if req.Shares == nil {
 		req.Shares = n.shares
 	}
-	if n.LocalSched == nil && !req.Class.Persistent() {
-		return fmt.Errorf("cluster: node %d is hollow; class %v has no device", n.Index, req.Class)
-	}
-	if n.shard != nil {
-		n.submitSharded(req)
-		return nil
-	}
 	if req.Class.Persistent() {
 		return n.HDFSSched.Submit(req)
+	}
+	if n.LocalSched == nil {
+		return fmt.Errorf("cluster: node %d is hollow; class %v has no device", n.Index, req.Class)
 	}
 	return n.LocalSched.Submit(req)
 }
 
-// submitSharded routes a request across the fabric: the submit travels
-// as a message to the node's shard, and the completion callback bounces
-// back to the coordinator, each hop costing the fabric lookahead — the
-// sharded model's RPC latency. Rejection cannot be reported to the
-// caller synchronously; in the sharded configurations (validated specs,
-// no mid-run control-plane surgery) a rejection is a wiring bug, so it
-// panics on the node shard.
-func (n *Node) submitSharded(req *iosched.Request) {
-	orig := req.OnDone
-	if orig != nil {
-		coordID := n.coord.ID()
-		req.OnDone = func(lat float64) {
-			n.shard.Post(coordID, 0, func() { orig(lat) })
-		}
-	}
-	n.coord.Post(n.shard.ID(), 0, func() {
-		var err error
-		if req.Class.Persistent() {
-			err = n.HDFSSched.Submit(req)
-		} else {
-			err = n.LocalSched.Submit(req)
-		}
-		if err != nil {
-			panic(fmt.Sprintf("cluster: sharded submit on node %d rejected: %v", n.Index, err))
-		}
-	})
-}
-
 // Send models a network transfer of size bytes from node n to dst: a
-// processor-shared pass through n's egress NIC then dst's ingress NIC.
-// done fires when the last byte arrives.
+// processor-shared pass through n's egress NIC, one hop to dst's shard
+// (the fabric lookahead is the wire latency), then dst's ingress NIC.
+// The caller runs on n's shard; done fires on dst's shard when the
+// last byte arrives.
 func (n *Node) Send(dst *Node, size float64, done func()) {
-	if n.shard != nil {
-		n.sendSharded(dst, size, done)
-		return
+	if done == nil {
+		done = func() {}
 	}
 	if size <= 0 {
-		n.nicOut.Submit(0, func() {
-			if done != nil {
-				done()
-			}
-		})
+		n.nicOut.Submit(0, func() { sim.Hop(n.shard, dst.shard, done) })
 		return
 	}
-	n.nicOut.Submit(size, func() {
-		dst.nicIn.Submit(size, func() {
-			if done != nil {
-				done()
-			}
-		})
-	})
+	n.nicOut.Submit(size, func() { n.deliver(dst, size, done) })
 }
 
-// sendSharded is Send across the fabric: egress on the source shard,
-// one inter-shard hop (the lookahead is the wire latency), ingress on
-// the destination shard, completion bounced to the coordinator.
-func (n *Node) sendSharded(dst *Node, size float64, done func()) {
-	coordID := n.coord.ID()
-	finish := func() {
-		if done != nil {
-			dst.shard.Post(coordID, 0, done)
-		}
-	}
-	n.coord.Post(n.shard.ID(), 0, func() {
-		if size <= 0 {
-			n.nicOut.Submit(0, func() {
-				if done != nil {
-					n.shard.Post(coordID, 0, done)
-				}
-			})
-			return
-		}
-		n.nicOut.Submit(size, func() {
-			n.shard.Post(dst.shard.ID(), 0, func() {
-				dst.nicIn.Submit(size, finish)
-			})
-		})
-	})
+// deliver carries a transfer that has left n's egress NIC through
+// dst's ingress NIC.
+func (n *Node) deliver(dst *Node, size float64, done func()) {
+	sim.Hop(n.shard, dst.shard, func() { dst.nicIn.Submit(size, done) })
 }
 
 // SendTagged is Send with application attribution: when the cluster
 // schedules network bandwidth, the egress hop passes through the NIC's
 // weighted fair scheduler; otherwise it behaves exactly like Send. The
 // transfer's weight resolves through the cluster's share tree at tag
-// time, like any other scheduled I/O.
+// time, like any other scheduled I/O. A non-nil error means the
+// scheduler rejected the transfer and done will never run.
 func (n *Node) SendTagged(dst *Node, app iosched.AppID, size float64, done func()) error {
+	if done == nil {
+		done = func() {}
+	}
 	if n.NetSched == nil || size <= 0 {
 		n.Send(dst, size, done)
-		return nil
-	}
-	if n.shard != nil {
-		coordID := n.coord.ID()
-		req := &iosched.Request{
-			App:    app,
-			Shares: n.shares,
-			Class:  iosched.NetworkTransfer,
-			Size:   size,
-			OnDone: func(float64) {
-				n.shard.Post(dst.shard.ID(), 0, func() {
-					dst.nicIn.Submit(size, func() {
-						if done != nil {
-							dst.shard.Post(coordID, 0, done)
-						}
-					})
-				})
-			},
-		}
-		n.coord.Post(n.shard.ID(), 0, func() {
-			if err := n.NetSched.Submit(req); err != nil {
-				panic(fmt.Sprintf("cluster: sharded tagged send on node %d rejected: %v", n.Index, err))
-			}
-		})
 		return nil
 	}
 	return n.NetSched.Submit(&iosched.Request{
@@ -803,13 +719,7 @@ func (n *Node) SendTagged(dst *Node, app iosched.AppID, size float64, done func(
 		Shares: n.shares,
 		Class:  iosched.NetworkTransfer,
 		Size:   size,
-		OnDone: func(float64) {
-			dst.nicIn.Submit(size, func() {
-				if done != nil {
-					done()
-				}
-			})
-		},
+		OnDone: func(float64) { n.deliver(dst, size, done) },
 	})
 }
 

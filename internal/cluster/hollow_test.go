@@ -100,13 +100,18 @@ func TestHollowShardedCoordinated(t *testing.T) {
 	if len(visited) != 1 || !visited["hdfs"] {
 		t.Fatalf("instrumented devices = %v, want only hdfs", visited)
 	}
+	// Each node submits from its own shard, as a task pipeline does.
 	done := 0
 	for i, n := range c.Nodes {
-		n.SubmitIO(&iosched.Request{
-			App:    iosched.AppID("app" + string(rune('A'+i))),
-			Class:  iosched.PersistentRead,
-			Size:   1e6,
-			OnDone: func(float64) { done++ },
+		n.Shard().Engine().Schedule(0, func() {
+			if err := n.SubmitIO(&iosched.Request{
+				App:    iosched.AppID("app" + string(rune('A'+i))),
+				Class:  iosched.PersistentRead,
+				Size:   1e6,
+				OnDone: func(float64) { done++ },
+			}); err != nil {
+				t.Errorf("node %d submit rejected: %v", i, err)
+			}
 		})
 	}
 	c.Fabric().Run()

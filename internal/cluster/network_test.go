@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ibis/internal/iosched"
+	"ibis/internal/sim"
 )
 
 func TestReservePolicyWiring(t *testing.T) {
@@ -122,5 +123,35 @@ func TestZeroByteSendTagged(t *testing.T) {
 	eng.Run()
 	if !fired {
 		t.Fatal("zero-byte tagged send never completed")
+	}
+}
+
+// TestShardedSendTaggedCompletesOnDestination: on the fabric a tagged
+// send is issued from the source node's shard and completes on the
+// destination's, one lookahead later than the same transfer on a
+// single engine, where the hop is a direct call.
+func TestShardedSendTaggedCompletesOnDestination(t *testing.T) {
+	cfg := Config{Nodes: 2, ScheduleNetwork: true}
+	eng, ref := newCluster(t, cfg)
+	refAt := -1.0
+	if err := ref.Nodes[0].SendTagged(ref.Nodes[1], "A", 50e6, func() { refAt = eng.Now() }); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+
+	c, err := NewSharded(cfg, 0, sim.FabricOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := c.Nodes[0], c.Nodes[1]
+	at := -1.0
+	src.Shard().Engine().Schedule(0, func() {
+		if err := src.SendTagged(dst, "A", 50e6, func() { at = dst.Shard().Engine().Now() }); err != nil {
+			t.Error(err)
+		}
+	})
+	c.Fabric().Run()
+	if refAt <= 0 || math.Abs(at-(refAt+DefaultLookahead)) > 1e-9 {
+		t.Fatalf("sharded send landed at %v, want single-engine %v + lookahead %v", at, refAt, DefaultLookahead)
 	}
 }

@@ -7,20 +7,22 @@
 // barriers (map/reduce completion counts), the broker root, and the
 // share tree's clock. Shard 1+i owns datanode i: its two storage
 // devices, its NIC processor-sharing resources, its interposed I/O
-// schedulers, its coordination clients — and, since the coordinator
-// decomposition, the running task attempts placed on it (their chunk
-// pipelines, shuffle fetchers and merge loops execute on the owning
-// node's engine; see mapreduce's sharded runtime). Block metadata is
-// partitioned by block-id hash across dedicated metadata shards after
-// the federation partitions (Config.MetaShards), so placement draws
-// never serialize on shard 0. Every cross-shard interaction — a task
-// launch, a completion report, a shuffle transfer landing on a remote
-// NIC, a broker exchange, a fault-schedule event — travels as a
-// timestamped inter-shard message, so each engine remains single-owner
-// and the run is bit-identical for every worker count.
+// schedulers, its coordination clients, and the running task attempts
+// placed on it (their chunk pipelines, shuffle fetchers and merge
+// loops execute on the owning node's engine; see mapreduce's task
+// pipeline). Block metadata is partitioned by block-id hash across
+// dedicated metadata shards after the federation partitions
+// (Config.MetaShards), so placement draws never serialize on shard 0.
+// Every cross-shard interaction — a task launch, a completion report,
+// a shuffle transfer landing on a remote NIC, a broker exchange, a
+// fault-schedule event — travels as a timestamped inter-shard message
+// (sim.Hop), so each engine remains single-owner and the run is
+// bit-identical for every worker count. There is no coordinator-routed
+// I/O: the node API below is the same on one engine and on the fabric,
+// and only the caller's shard differs.
 //
 // The fabric lookahead plays the role of the cluster's control-plane
-// RPC latency: a submit, a completion notification, a NIC-to-NIC hop
+// RPC latency: a task launch, a completion report, a NIC-to-NIC hop
 // and a broker exchange leg each take at least one lookahead of
 // virtual time. The sharded model is therefore not bit-identical to
 // the single-engine model (which has zero-latency control edges); it
@@ -37,8 +39,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"ibis/internal/broker"
 	"ibis/internal/faults"
 	"ibis/internal/iosched"
@@ -137,62 +137,13 @@ func (c *Cluster) CoordShard() *sim.Shard {
 	return c.fabric.Shard(0)
 }
 
-// Node-local I/O primitives for decomposed task execution. Unlike
-// SubmitIO/SendTagged — which assume the coordinator is calling and
-// route everything through shard 0 — these must be invoked from the
-// owning node's shard context (a task pipeline running on the node's
-// engine) and touch no coordinator state. Rejections panic, as on
-// every sharded submit path: specs are validated at submission, so a
-// rejection here is a wiring bug, not a recoverable condition.
-
-// SubmitLocal submits a request directly to this node's scheduler.
-// Caller must be executing on n's shard; OnDone fires there too.
-func (n *Node) SubmitLocal(req *iosched.Request) {
-	if req.Shares == nil {
-		req.Shares = n.shares
-	}
-	var err error
-	if req.Class.Persistent() {
-		err = n.HDFSSched.Submit(req)
-	} else {
-		err = n.LocalSched.Submit(req)
-	}
-	if err != nil {
-		panic(fmt.Sprintf("cluster: node-local submit on node %d rejected: %v", n.Index, err))
-	}
-}
-
-// SendTaggedLocal ships size bytes from this node to dst with
-// application attribution, entirely off the coordinator: egress
-// through the NIC scheduler (or the raw NIC when the cluster does not
-// schedule network), one inter-shard hop, ingress on dst — and done
-// runs on dst's shard, where the receiving pipeline continues. Caller
-// must be executing on n's shard.
-func (n *Node) SendTaggedLocal(dst *Node, app iosched.AppID, size float64, done func()) {
-	deliver := func() {
-		n.shard.Post(dst.shard.ID(), 0, func() {
-			dst.nicIn.Submit(size, func() {
-				if done != nil {
-					done()
-				}
-			})
-		})
-	}
-	if n.NetSched == nil || size <= 0 {
-		n.nicOut.Submit(size, deliver)
-		return
-	}
-	err := n.NetSched.Submit(&iosched.Request{
-		App:    app,
-		Shares: n.shares,
-		Class:  iosched.NetworkTransfer,
-		Size:   size,
-		OnDone: func(float64) { deliver() },
-	})
-	if err != nil {
-		panic(fmt.Sprintf("cluster: node-local tagged send on node %d rejected: %v", n.Index, err))
-	}
-}
+// Node I/O on the fabric. SubmitIO, Send and SendTagged are called
+// from the owning node's shard — a task pipeline running on the node's
+// engine — and touch no coordinator state: a submit goes straight to
+// the node's scheduler and completes there, and a transfer leaves the
+// source NIC, crosses one inter-shard hop and completes on the
+// destination's shard, where the receiving pipeline continues. On a
+// single engine the same calls run with the hop as a direct call.
 
 // shardedTransport carries one coordination client's broker traffic
 // across the fabric: the request is a daemon message to the

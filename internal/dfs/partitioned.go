@@ -75,14 +75,17 @@ func (nn *Namenode) Shape(size float64) []float64 {
 // PlacePartition draws replica sets on partition p for count blocks,
 // in request order. The caller is responsible for running all of
 // partition p's draws on a single owner (the partition's metadata
-// shard); draws on distinct partitions are independent.
+// shard); draws on distinct partitions are independent. A legacy
+// namenode has the one partition 0, which draws from the shared
+// stream exactly as Create does.
 func (nn *Namenode) PlacePartition(p, count int) [][]int {
-	if len(nn.parts) == 0 {
-		panic("dfs: PlacePartition on a non-partitioned namenode")
+	rng := nn.rng
+	if len(nn.parts) > 0 {
+		rng = nn.parts[p]
 	}
 	out := make([][]int, count)
 	for i := range out {
-		out[i] = nn.pickFrom(nn.parts[p], -1)
+		out[i] = nn.pickFrom(rng, -1)
 	}
 	return out
 }
@@ -124,6 +127,18 @@ func (nn *Namenode) PlaceOutputKeyed(localNode int, key uint64) []int {
 		return nn.pickFrom(rng, -1)
 	}
 	return nn.pickFrom(rng, localNode)
+}
+
+// PlaceAttemptOutput places an output block written from localNode by
+// the task attempt identified by key: keyed placement on a partitioned
+// namenode, whose writers run concurrently on datanode shards, and the
+// shared-stream PlaceOutput draw on a legacy one, whose writers run in
+// one engine's event order.
+func (nn *Namenode) PlaceAttemptOutput(localNode int, key uint64) []int {
+	if len(nn.parts) > 0 {
+		return nn.PlaceOutputKeyed(localNode, key)
+	}
+	return nn.PlaceOutput(localNode)
 }
 
 // mix64 is the SplitMix64 finalizer — a cheap, well-distributed hash

@@ -10,9 +10,11 @@ import (
 // shards produce asynchronously (Shape → per-partition PlacePartition
 // in index order → Publish). The mapreduce runtime relies on this: a
 // single-engine partitioned run and a sharded run draw identical
-// placements.
+// placements. Partitions = 1 is the legacy namenode, whose one
+// partition draws from the shared stream: the runtime's only input
+// placement path reproduces Create there too.
 func TestPartitionedCreateMatchesAsyncAssembly(t *testing.T) {
-	for _, parts := range []int{2, 3, 5} {
+	for _, parts := range []int{1, 2, 3, 5} {
 		mk := func() *Namenode {
 			return NewNamenode(Config{Nodes: 16, BlockSize: 100, Replication: 3, Seed: 42, Partitions: parts})
 		}
@@ -144,5 +146,24 @@ func TestLegacyModeUnchanged(t *testing.T) {
 	}
 	if a.Partitions() != 1 || b.Partitions() != 1 {
 		t.Fatalf("legacy Partitions() = %d/%d, want 1/1", a.Partitions(), b.Partitions())
+	}
+}
+
+// TestPlaceAttemptOutputFollowsMode: attempt output placement is the
+// shared-stream draw on a legacy namenode and the keyed pure function
+// on a partitioned one.
+func TestPlaceAttemptOutputFollowsMode(t *testing.T) {
+	legacy := NewNamenode(Config{Nodes: 8, Replication: 3, Seed: 5})
+	ref := NewNamenode(Config{Nodes: 8, Replication: 3, Seed: 5})
+	for key := uint64(0); key < 4; key++ {
+		if got, want := legacy.PlaceAttemptOutput(2, key), ref.PlaceOutput(2); !reflect.DeepEqual(got, want) {
+			t.Fatalf("legacy key %d: %v, want shared-stream draw %v", key, got, want)
+		}
+	}
+	parted := NewNamenode(Config{Nodes: 8, Replication: 3, Seed: 5, Partitions: 2})
+	for key := uint64(0); key < 4; key++ {
+		if got, want := parted.PlaceAttemptOutput(2, key), parted.PlaceOutputKeyed(2, key); !reflect.DeepEqual(got, want) {
+			t.Fatalf("partitioned key %d: %v, want keyed %v", key, got, want)
+		}
 	}
 }

@@ -21,10 +21,10 @@ import "ibis/internal/cluster"
 // FailNode marks the datanode dead and triggers recovery. Failing an
 // already-dead node is a no-op.
 func (rt *Runtime) FailNode(idx int) {
-	if rt.sharded() {
-		// Recovery walks and mutates task state that now lives on node
-		// shards; cluster/sharded.go documents failure injection as
-		// unsupported there.
+	if rt.coordShard != nil {
+		// Recovery reads the runs' shuffle state (reclaimShuffleHeadroom)
+		// and assumes its messages land at once; cluster/sharded.go
+		// documents failure injection as unsupported there.
 		panic("mapreduce: FailNode is unsupported in sharded mode")
 	}
 	n := rt.cluster.Nodes[idx]
@@ -47,6 +47,7 @@ func (rt *Runtime) FailNode(idx int) {
 			continue
 		}
 		needOutputs := j.reducesDone < len(j.reduces) && j.Spec.MapOutputBytes > 0
+		reopen := false
 		for _, m := range j.maps {
 			switch {
 			case m.state == taskRunning && m.node == n:
@@ -61,6 +62,7 @@ func (rt *Runtime) FailNode(idx int) {
 				m.node = nil
 				j.mapsDone--
 				rt.rerunMaps++
+				reopen = true
 			}
 		}
 		for _, r := range j.reduces {
@@ -68,14 +70,20 @@ func (rt *Runtime) FailNode(idx int) {
 				r.restart()
 				rt.failedTasks++
 			}
-			if r.state != taskDone {
-				kept := r.pending[:0]
-				for _, seg := range r.pending {
-					if seg.srcNode != n {
-						kept = append(kept, seg)
+			switch r.state {
+			case taskRunning:
+				// The run owns the shuffle state: tell it to drop the
+				// dead node's unfetched segments and, when a map is
+				// re-run, to wait for the all-maps-done marker again.
+				run := r.rrun
+				rt.toNode(run.node, func() {
+					run.pending = dropSource(run.pending, n)
+					if reopen {
+						run.allMapsDone = false
 					}
-				}
-				r.pending = kept
+				})
+			case taskPending:
+				r.pending = dropSource(r.pending, n)
 			}
 		}
 	}
@@ -97,7 +105,7 @@ func (rt *Runtime) reclaimShuffleHeadroom() {
 				continue
 			}
 			for _, r := range j.reduces {
-				if r.state == taskRunning && !r.finishing {
+				if r.state == taskRunning && !r.rrun.finishing {
 					victim = r // youngest wins: keep scanning
 				}
 			}
@@ -129,9 +137,6 @@ func (r *reduceTask) restart() {
 	r.node = nil
 	r.pending = nil
 	r.segsDone = 0
-	r.fetchedBytes = 0
-	r.finishing = false
-	r.activeFetchers = 0
 	r.shuffleDoneTime = 0
 }
 

@@ -455,3 +455,20 @@ func TestIOTagging(t *testing.T) {
 		t.Fatalf("%d requests mis-tagged", bad)
 	}
 }
+
+// TestShardedRuntimeNeedsPartitionedNamenode: on the fabric, node
+// shards place attempt output concurrently, which only keyed placement
+// on a partitioned namenode keeps deterministic, so a legacy namenode
+// is refused up front.
+func TestShardedRuntimeNeedsPartitionedNamenode(t *testing.T) {
+	cl, err := cluster.NewSharded(cluster.Config{Nodes: 2}, 0, sim.FabricOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("sharded runtime accepted a legacy namenode")
+		}
+	}()
+	NewRuntime(cl.Eng, cl, dfs.NewNamenode(dfs.Config{Nodes: 2}), Config{})
+}

@@ -285,6 +285,18 @@ func (s *Shard) Post(dst int, delay float64, fn func()) {
 	s.post(dst, delay, fn, false)
 }
 
+// Hop runs fn on shard to as a message from shard from with the
+// minimum latency. With no fabric (from is nil) it is a direct call, so
+// code written as hops between shards keeps the exact event order of an
+// inline call chain on a single engine.
+func Hop(from, to *Shard, fn func()) {
+	if from == nil {
+		fn()
+		return
+	}
+	from.Post(to.ID(), 0, fn)
+}
+
 // PostDaemon is Post for messages that should not keep the simulation
 // alive (periodic control traffic, telemetry).
 func (s *Shard) PostDaemon(dst int, delay float64, fn func()) {

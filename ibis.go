@@ -288,7 +288,7 @@ func New(cfg Config) (*Simulation, error) {
 		// Switch audit regimes in lockstep with client degradation:
 		// local checks relax to the degraded variant, the total-share
 		// check is suspended until K periods after recovery.
-		cl.SetDegradeObserver(s.au.NoteDegradeStart, s.au.NoteDegradeEnd)
+		cl.SetDegradeObserver(s.au.NoteDegradeStart, s.au.NoteDegradeEnd, s.au.NoteCapacityDegrade)
 	}
 	// Wire the control plane's epoch stream into the instrumentation:
 	// audit opens a reconvergence window around every live weight

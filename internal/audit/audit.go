@@ -294,6 +294,18 @@ func (a *Auditor) NoteDegradeEnd(node int, dev string, t float64) {
 	}
 }
 
+// NoteCapacityDegrade records that a device runs below its rated
+// capacity over [from, to) — a fault schedule's degrade window, known
+// before the run. A flow whose only disks slow down cannot reach its
+// proportional total however well the schedulers coordinate, so the
+// cluster-level bound is relaxed over the window plus K recovery
+// periods, as for a degraded scheduler. The per-node checks stay in
+// force.
+func (a *Auditor) NoteCapacityDegrade(from, to float64) {
+	grace := float64(a.opts.RecoveryPeriods) * a.opts.CoordinationPeriod
+	a.skips = append(a.skips, span{from: from, to: to + grace})
+}
+
 // skipWindow reports whether [ws, we) overlaps any cluster-level
 // relaxation interval.
 func (a *Auditor) skipWindow(ws, we float64) bool {

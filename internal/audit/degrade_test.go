@@ -40,6 +40,25 @@ func TestDegradeSkipSpans(t *testing.T) {
 	}
 }
 
+// A device-capacity window relaxes the cluster-level bound over the
+// window plus the recovery grace, like a degraded scheduler, and a
+// capacity window opened mid-degradation must not disturb the span the
+// degraded scheduler will close.
+func TestCapacityDegradeSkipSpan(t *testing.T) {
+	a := New(Options{CoordinationPeriod: 1, RecoveryPeriods: 5})
+	a.NoteDegradeStart(0, "d", 2)
+	a.NoteCapacityDegrade(10, 20) // relaxes [10, 25)
+	a.NoteDegradeEnd(0, "d", 4)   // relaxes [2, 9)
+	for _, tc := range []struct {
+		ws, we float64
+		want   bool
+	}{{8, 9, true}, {9, 10, false}, {9.5, 10.5, true}, {24, 25, true}, {25, 26, false}} {
+		if got := a.skipWindow(tc.ws, tc.we); got != tc.want {
+			t.Errorf("skipWindow(%v, %v) = %v, want %v", tc.ws, tc.we, got, tc.want)
+		}
+	}
+}
+
 func TestDegradeEndWithoutStartIsSafe(t *testing.T) {
 	a := New(Options{})
 	a.NoteDegradeEnd(3, "x", 7) // never started; must not panic or open a span

@@ -13,6 +13,10 @@
 //
 // The exchange path is failure-aware: a Transport carries the round
 // trips and may fail (broker outage, message loss) or delay responses.
+// It is callback-style — a reply runs inline, later, or never — so one
+// client send path serves an in-process broker and a broker on another
+// simulation shard alike; the cluster's coordination link is the
+// fault-carrying implementation, NewDirectTransport the reliable one.
 // The Client reacts with bounded retries under exponential backoff, and
 // when exchanges keep failing for at least one coordination period it
 // degrades gracefully — suspending the DSFQ delay rule so the local
@@ -36,13 +40,10 @@ import (
 // Transport errors. ErrUnavailable means the broker could not be
 // reached at all (outage or partition); ErrLost means a message was
 // dropped in flight — the broker may or may not have applied the
-// report, which the cumulative protocol makes safe to retry; ErrTimeout
-// is synthesized by the client when a response outlives the retry
-// policy's timeout.
+// report, which the cumulative protocol makes safe to retry.
 var (
 	ErrUnavailable = errors.New("broker: unavailable")
 	ErrLost        = errors.New("broker: message lost")
-	ErrTimeout     = errors.New("broker: exchange timed out")
 )
 
 // Stats tracks coordination traffic for overhead accounting.
@@ -399,55 +400,38 @@ type Reporter interface {
 	CostVector() map[iosched.AppID]float64
 }
 
-// Transport carries the coordination round trips. Implementations may
-// fail or delay them; the direct in-process transport never does.
+// Transport carries the coordination round trips. A call sends the
+// request toward the broker and returns; done runs on the client's
+// engine when the reply arrives — inline for a transport that answers
+// at once (the direct in-process broker), later for one that models
+// latency, or never. The client covers a missing reply with its own
+// timeout.
 type Transport interface {
-	// Exchange performs one report/response round trip. rtt is the
-	// virtual-time delay until the response reaches the client (0 =
-	// instantaneous, applied synchronously). On error no response is
-	// delivered; the broker may or may not have applied the report
-	// (response loss) — retrying is safe because vectors are
-	// cumulative.
-	Exchange(id string, vector map[iosched.AppID]float64) (resp Response, rtt float64, err error)
+	// Exchange performs one report/response round trip. A non-nil err
+	// reports a failed round trip (ErrUnavailable, ErrLost); the broker
+	// may or may not have applied the report — retrying is safe because
+	// vectors are cumulative.
+	Exchange(id string, vector map[iosched.AppID]float64, done func(resp Response, err error))
 	// Register performs the (re-)registration handshake.
-	Register(id string) (rtt float64, err error)
+	Register(id string, done func(err error))
 	// Unregister removes the scheduler's report from the broker. It
 	// models out-of-band node-death detection (YARN's liveness
 	// tracking), so it is not subject to message faults.
 	Unregister(id string)
 }
 
-// AsyncTransport is the message-passing variant of Transport used when
-// the broker lives on a different simulation shard than the client: the
-// request travels as an inter-shard message, the broker processes it on
-// its own shard, and the response travels back the same way. done is
-// invoked on the client's shard when the response arrives — possibly
-// never (request or response lost), which the client covers with its
-// own timeout event. A transport given to ClientOptions.Transport may
-// additionally implement AsyncTransport; the client then uses the
-// async protocol exclusively.
-type AsyncTransport interface {
-	// ExchangeAsync sends the vector toward the broker; done fires when
-	// (and if) the response arrives. A non-nil err reports a delivered
-	// failure (e.g. broker down); a lost message simply never calls
-	// done.
-	ExchangeAsync(id string, vector map[iosched.AppID]float64, done func(resp Response, err error))
-	// RegisterAsync is the async registration handshake.
-	RegisterAsync(id string, done func(err error))
-}
-
 // directTransport is the perfectly reliable, instantaneous in-process
-// transport the pre-fault broker modeled.
+// transport: every reply runs inline.
 type directTransport struct{ b *Broker }
 
 // NewDirectTransport wraps a broker in the reliable transport.
 func NewDirectTransport(b *Broker) Transport { return directTransport{b} }
 
-func (d directTransport) Exchange(id string, vec map[iosched.AppID]float64) (Response, float64, error) {
-	return d.b.Exchange(id, vec), 0, nil
+func (d directTransport) Exchange(id string, vec map[iosched.AppID]float64, done func(Response, error)) {
+	done(d.b.Exchange(id, vec), nil)
 }
 
-func (d directTransport) Register(id string) (float64, error) { d.b.Register(id); return 0, nil }
+func (d directTransport) Register(id string, done func(error)) { d.b.Register(id); done(nil) }
 
 func (d directTransport) Unregister(id string) { d.b.Unregister(id) }
 
@@ -552,7 +536,6 @@ type ClientOptions struct {
 type Client struct {
 	id        string
 	transport Transport
-	async     AsyncTransport // non-nil when transport is asynchronous
 	reporter  Reporter
 	eng       *sim.Engine
 	period    float64
@@ -625,7 +608,6 @@ func NewClientWithOptions(eng *sim.Engine, id string, reporter Reporter, opts Cl
 		failingSince: -1,
 		nextSeq:      1,
 	}
-	c.async, _ = opts.Transport.(AsyncTransport)
 	var tick func()
 	tick = func() {
 		c.tick()
@@ -681,6 +663,8 @@ func (c *Client) beginRound() {
 }
 
 // sendAttempt issues one exchange (or re-register handshake) attempt.
+// The reply may arrive inline, at any later event, or never; a timeout
+// daemon bounds the wait.
 func (c *Client) sendAttempt() {
 	if c.detached {
 		c.inRound = false
@@ -690,79 +674,18 @@ func (c *Client) sendAttempt() {
 		c.sendRegister()
 		return
 	}
-	if c.async != nil {
-		c.sendAttemptAsync()
-		return
-	}
-	now := c.eng.Now()
-	seq := c.nextSeq
-	c.nextSeq++
-	c.health.Attempts++
-	vec := c.reporter.CostVector()
-	resp, rtt, err := c.transport.Exchange(c.id, vec)
-	if err != nil {
-		c.fail(now)
-		return
-	}
-	if rtt <= 0 {
-		c.appliedHi = seq
-		c.apply(vec, resp, now)
-		return
-	}
-	epoch := c.epoch
-	if rtt > c.policy.Timeout {
-		// The response will arrive after the client gave up on it:
-		// count the timeout when the policy says so, and the stale
-		// drop when the late response lands.
-		c.health.Timeouts++
-		c.eng.ScheduleDaemon(rtt, func() {
-			if c.epoch == epoch {
-				c.health.StaleDrops++
-			}
-		})
-		c.eng.ScheduleDaemon(c.policy.Timeout, func() {
-			if c.epoch == epoch {
-				c.fail(c.eng.Now())
-			}
-		})
-		return
-	}
-	c.eng.ScheduleDaemon(rtt, func() {
-		if c.epoch != epoch || seq <= c.appliedHi {
-			c.health.StaleDrops++
-			return
-		}
-		c.appliedHi = seq
-		c.apply(vec, resp, c.eng.Now())
-	})
-}
-
-// sendAttemptAsync is the exchange attempt over an AsyncTransport. The
-// response may arrive at any later event, or never; a local timeout
-// daemon bounds the wait. The delivered/timedOut flags arbitrate the
-// race between the two continuations — both run on the client's shard,
-// so plain variables suffice.
-func (c *Client) sendAttemptAsync() {
 	seq := c.nextSeq
 	c.nextSeq++
 	c.health.Attempts++
 	vec := c.reporter.CostVector()
 	epoch := c.epoch
-	delivered, timedOut := false, false
-	c.eng.ScheduleDaemon(c.policy.Timeout, func() {
-		if delivered || c.epoch != epoch {
-			return
-		}
-		timedOut = true
-		c.health.Timeouts++
-		c.fail(c.eng.Now())
-	})
-	c.async.ExchangeAsync(c.id, vec, func(resp Response, err error) {
-		if c.epoch != epoch || timedOut || seq <= c.appliedHi {
+	p := new(pending)
+	c.transport.Exchange(c.id, vec, func(resp Response, err error) {
+		p.replied = true
+		if c.epoch != epoch || p.timedOut || seq <= c.appliedHi {
 			c.health.StaleDrops++
 			return
 		}
-		delivered = true
 		if err != nil {
 			c.fail(c.eng.Now())
 			return
@@ -770,75 +693,22 @@ func (c *Client) sendAttemptAsync() {
 		c.appliedHi = seq
 		c.apply(vec, resp, c.eng.Now())
 	})
+	c.armTimeout(epoch, p)
 }
 
 // sendRegister performs the explicit post-restart handshake; on success
 // it chains straight into a normal exchange to re-seed the client's
 // remote-service view.
 func (c *Client) sendRegister() {
-	if c.async != nil {
-		c.sendRegisterAsync()
-		return
-	}
-	now := c.eng.Now()
 	c.health.Attempts++
-	rtt, err := c.transport.Register(c.id)
-	if err != nil {
-		c.fail(now)
-		return
-	}
 	epoch := c.epoch
-	finish := func() {
-		if c.epoch != epoch {
+	p := new(pending)
+	c.transport.Register(c.id, func(err error) {
+		p.replied = true
+		if c.epoch != epoch || p.timedOut {
 			c.health.StaleDrops++
 			return
 		}
-		c.needRegister = false
-		c.health.ReRegisters++
-		c.attempt = 0
-		c.sendAttempt()
-	}
-	if rtt <= 0 {
-		finish()
-		return
-	}
-	if rtt > c.policy.Timeout {
-		c.health.Timeouts++
-		c.eng.ScheduleDaemon(rtt, func() {
-			if c.epoch == epoch {
-				c.health.StaleDrops++
-			}
-		})
-		c.eng.ScheduleDaemon(c.policy.Timeout, func() {
-			if c.epoch == epoch {
-				c.fail(c.eng.Now())
-			}
-		})
-		return
-	}
-	c.eng.ScheduleDaemon(rtt, finish)
-}
-
-// sendRegisterAsync is the registration handshake over an
-// AsyncTransport, mirroring sendAttemptAsync's timeout arbitration.
-func (c *Client) sendRegisterAsync() {
-	c.health.Attempts++
-	epoch := c.epoch
-	delivered, timedOut := false, false
-	c.eng.ScheduleDaemon(c.policy.Timeout, func() {
-		if delivered || c.epoch != epoch {
-			return
-		}
-		timedOut = true
-		c.health.Timeouts++
-		c.fail(c.eng.Now())
-	})
-	c.async.RegisterAsync(c.id, func(err error) {
-		if c.epoch != epoch || timedOut {
-			c.health.StaleDrops++
-			return
-		}
-		delivered = true
 		if err != nil {
 			c.fail(c.eng.Now())
 			return
@@ -847,6 +717,30 @@ func (c *Client) sendRegisterAsync() {
 		c.health.ReRegisters++
 		c.attempt = 0
 		c.sendAttempt()
+	})
+	c.armTimeout(epoch, p)
+}
+
+// pending arbitrates one attempt's reply against its timeout: whichever
+// runs second is dropped. Both run on the client's engine, so plain
+// fields suffice.
+type pending struct{ replied, timedOut bool }
+
+// armTimeout bounds the wait for an attempt's reply. It is armed after
+// the transport call and only when the reply did not run inline, so a
+// direct in-process broker schedules no timeout event; a reply landing
+// exactly at the timeout was scheduled first and beats it.
+func (c *Client) armTimeout(epoch uint64, p *pending) {
+	if p.replied {
+		return
+	}
+	c.eng.ScheduleDaemon(c.policy.Timeout, func() {
+		if p.replied || c.epoch != epoch {
+			return
+		}
+		p.timedOut = true
+		c.health.Timeouts++
+		c.fail(c.eng.Now())
 	})
 }
 

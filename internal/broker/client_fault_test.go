@@ -19,32 +19,46 @@ func (m mapReporter) CostVector() map[iosched.AppID]float64 {
 	return out
 }
 
-// hookTransport scripts every leg of the protocol.
+// hookTransport scripts every leg of the protocol. A scripted delay of
+// zero replies inline; a positive one delivers the reply through a
+// daemon event that much later, as a latency-modeling transport would.
 type hookTransport struct {
+	eng          *sim.Engine
 	exchange     func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error)
 	register     func(id string) (float64, error)
 	unregistered []string
 }
 
+func (h *hookTransport) deliver(delay float64, fn func()) {
+	if delay > 0 {
+		h.eng.ScheduleDaemon(delay, fn)
+		return
+	}
+	fn()
+}
+
 // Exchange adapts the scripted per-app map into a Response, deriving
 // the implicit singleton tenant totals the real broker would send.
-func (h *hookTransport) Exchange(id string, vec map[iosched.AppID]float64) (Response, float64, error) {
-	m, rtt, err := h.exchange(id, vec)
+func (h *hookTransport) Exchange(id string, vec map[iosched.AppID]float64, done func(Response, error)) {
+	m, delay, err := h.exchange(id, vec)
 	if err != nil {
-		return Response{}, rtt, err
+		h.deliver(delay, func() { done(Response{}, err) })
+		return
 	}
 	resp := Response{Apps: m, Tenants: make(map[string]float64, len(m))}
 	for a, v := range m {
 		resp.Tenants[implicitTenant(a)] = v
 	}
-	return resp, rtt, nil
+	h.deliver(delay, func() { done(resp, nil) })
 }
 
-func (h *hookTransport) Register(id string) (float64, error) {
+func (h *hookTransport) Register(id string, done func(error)) {
 	if h.register == nil {
-		return 0, nil
+		done(nil)
+		return
 	}
-	return h.register(id)
+	delay, err := h.register(id)
+	h.deliver(delay, func() { done(err) })
 }
 
 func (h *hookTransport) Unregister(id string) { h.unregistered = append(h.unregistered, id) }
@@ -59,7 +73,7 @@ func TestClientRetriesAndRecoversWithinRound(t *testing.T) {
 	eng := sim.NewEngine()
 	rep := mapReporter{"a": 10}
 	calls := 0
-	tr := &hookTransport{exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
+	tr := &hookTransport{eng: eng, exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 		calls++
 		if calls < 3 {
 			return nil, 0, ErrUnavailable
@@ -88,7 +102,7 @@ func TestClientRetriesAndRecoversWithinRound(t *testing.T) {
 func TestClientBackoffIsExponentialAndBounded(t *testing.T) {
 	eng := sim.NewEngine()
 	c := NewClientWithOptions(eng, "n0", mapReporter{}, ClientOptions{
-		Transport: &hookTransport{exchange: func(string, map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
+		Transport: &hookTransport{eng: eng, exchange: func(string, map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 			return nil, 0, ErrUnavailable
 		}},
 		Period: 1,
@@ -114,7 +128,7 @@ func TestClientDegradesAfterOnePeriodAndSuspendsScheduler(t *testing.T) {
 	})
 	sfq := iosched.NewSFQD(eng, dev, 2)
 	down := true
-	tr := &hookTransport{exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
+	tr := &hookTransport{eng: eng, exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 		if down {
 			return nil, 0, ErrUnavailable
 		}
@@ -163,7 +177,7 @@ func TestClientDegradesAfterOnePeriodAndSuspendsScheduler(t *testing.T) {
 func TestClientTimeoutThenStaleResponseDropped(t *testing.T) {
 	eng := sim.NewEngine()
 	slow := true
-	tr := &hookTransport{exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
+	tr := &hookTransport{eng: eng, exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 		if slow {
 			slow = false
 			// Response arrives after the 0.25 s default timeout.
@@ -193,7 +207,7 @@ func TestClientTimeoutThenStaleResponseDropped(t *testing.T) {
 func TestClientSerializesRounds(t *testing.T) {
 	eng := sim.NewEngine()
 	var calls int
-	tr := &hookTransport{exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
+	tr := &hookTransport{eng: eng, exchange: func(id string, vec map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 		calls++
 		if calls == 1 {
 			return map[iosched.AppID]float64{"a": 100}, 0.2, nil
@@ -266,6 +280,7 @@ func TestClientRestartWipesViewAndReRegisters(t *testing.T) {
 func TestClientRestartDuringOutageStaysDegraded(t *testing.T) {
 	eng := sim.NewEngine()
 	tr := &hookTransport{
+		eng: eng,
 		exchange: func(string, map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 			return nil, 0, ErrUnavailable
 		},
@@ -290,7 +305,7 @@ func TestClientRestartDuringOutageStaysDegraded(t *testing.T) {
 func TestClientDetachUnregistersAndGoesSilent(t *testing.T) {
 	eng := sim.NewEngine()
 	calls := 0
-	tr := &hookTransport{exchange: func(string, map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
+	tr := &hookTransport{eng: eng, exchange: func(string, map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 		calls++
 		return map[iosched.AppID]float64{}, 0, nil
 	}}
@@ -430,7 +445,7 @@ func TestRetryPolicyDefaults(t *testing.T) {
 func TestClientNoRetriesWhenDisabled(t *testing.T) {
 	eng := sim.NewEngine()
 	calls := 0
-	tr := &hookTransport{exchange: func(string, map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
+	tr := &hookTransport{eng: eng, exchange: func(string, map[iosched.AppID]float64) (map[iosched.AppID]float64, float64, error) {
 		calls++
 		return nil, 0, ErrUnavailable
 	}}

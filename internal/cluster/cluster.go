@@ -116,10 +116,9 @@ type Config struct {
 	// centralized broker.
 	Federation Federation
 	// Faults, when non-nil, injects the compiled fault schedule into
-	// the coordination plane: exchanges flow through a faulty
-	// transport, scheduler restarts and device-degradation windows are
-	// armed on the engine. Nil keeps the reliable direct transport —
-	// the pre-fault fast path.
+	// the coordination plane: every client's link applies its message
+	// fates, and scheduler restarts and device-degradation windows are
+	// armed on the engine. Nil keeps the links reliable.
 	Faults *faults.Injector
 	// Retry tunes the clients' failure handling; zero fields take
 	// defaults derived from CoordinationPeriod.
@@ -244,7 +243,6 @@ type Cluster struct {
 	fabric    *sim.Fabric  // nil in single-engine mode
 	meta      []*sim.Shard // dedicated metadata shards (sharded mode)
 	fed       *fedPlane    // nil when the broker plane is centralized
-	transport broker.Transport
 	clients   []ClientRef
 	byID      map[string]*broker.Client
 	devByName map[string]*storage.Device
@@ -322,15 +320,6 @@ func assemble(eng *sim.Engine, fab *sim.Fabric, cfg Config) (*Cluster, error) {
 		} else {
 			c.Broker = broker.New()
 			c.Broker.SetShares(c.shares)
-			switch {
-			case fab != nil:
-				// Sharded: each client gets its own async transport bound
-				// to its node's shard (built in attach); no shared one.
-			case cfg.Faults != nil:
-				c.transport = faults.NewTransport(eng, cfg.Faults, c.Broker)
-			default:
-				c.transport = broker.NewDirectTransport(c.Broker)
-			}
 		}
 	}
 	for i := 0; i < cfg.Nodes; i++ {
@@ -460,24 +449,21 @@ func (l *linkBackend) Submit(_ storage.OpKind, size float64, onDone func(float64
 
 // attach connects an SFQ scheduler to the broker; non-SFQ schedulers
 // cannot coordinate and are skipped. The client lives on the node's
-// engine; in sharded mode its exchanges cross the fabric through a
-// per-client async transport.
+// engine and reaches its endpoint — the centralized broker, or its
+// node's partition — through its own link.
 func (c *Cluster) attach(n *Node, eng *sim.Engine, dev string, s iosched.Scheduler, id string) {
 	sfq, ok := s.(*iosched.SFQ)
 	if !ok {
 		return
 	}
-	tr := c.transport
-	if n.shard != nil {
-		if c.fed != nil {
-			p := c.fed.partOf(n.Index, c.cfg.Nodes)
-			tr = &fedTransport{part: c.fed.parts[p], inj: c.cfg.Faults, shard: n.shard, pshard: c.fed.shards[p]}
-		} else {
-			tr = &shardedTransport{b: c.Broker, inj: c.cfg.Faults, shard: n.shard, coord: c.fabric.Shard(0)}
-		}
+	var ep endpoint = central{c.Broker}
+	to := c.CoordShard()
+	if c.fed != nil {
+		p := c.fed.partOf(n.Index, c.cfg.Nodes)
+		ep, to = c.fed.parts[p], c.fed.shards[p]
 	}
 	client := broker.NewClientWithOptions(eng, id, sfq.Accounting(), broker.ClientOptions{
-		Transport: tr,
+		Transport: newLink(ep, c.cfg.Faults, eng, n.shard, to),
 		Period:    c.cfg.CoordinationPeriod,
 		Retry:     c.cfg.Retry,
 		Shares:    c.shares,
@@ -554,9 +540,11 @@ func (c *Cluster) CoordinationHealth() metrics.CoordinationHealth {
 
 // SetDegradeObserver registers cluster-level callbacks fired when any
 // client degrades to local fairness or recovers, identified by (node,
-// device label). The audit layer wires in here to switch invariant
-// regimes in step with the schedulers.
-func (c *Cluster) SetDegradeObserver(onDegrade, onRecover func(node int, dev string, t float64)) {
+// device label), and hands onCapacity every device-degradation window
+// of the fault schedule at once — the injector compiles them before
+// the run. The audit layer wires in here to switch invariant regimes
+// in step with the schedulers and the devices.
+func (c *Cluster) SetDegradeObserver(onDegrade, onRecover func(node int, dev string, t float64), onCapacity func(from, to float64)) {
 	for _, ref := range c.clients {
 		ref := ref
 		if onDegrade != nil {
@@ -564,6 +552,14 @@ func (c *Cluster) SetDegradeObserver(onDegrade, onRecover func(node int, dev str
 		}
 		if onRecover != nil {
 			ref.C.SetOnRecover(func(t float64) { onRecover(ref.Node, ref.Dev, t) })
+		}
+	}
+	if onCapacity == nil || c.cfg.Faults == nil {
+		return
+	}
+	for _, d := range c.cfg.Faults.DegradeSchedule() {
+		if c.devByName[d.Device] != nil {
+			onCapacity(d.Window.Start, d.Window.End)
 		}
 	}
 }

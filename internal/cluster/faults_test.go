@@ -128,6 +128,7 @@ func TestDegradeObserverReportsNodeAndDevice(t *testing.T) {
 	c.SetDegradeObserver(
 		func(node int, dev string, _ float64) { degrades[key{node, dev}]++ },
 		func(node int, dev string, _ float64) { recovers[key{node, dev}]++ },
+		nil,
 	)
 	var s0, s1 float64
 	keepBusy(eng, c.Nodes[0], "A", 8, &s0)

@@ -19,7 +19,9 @@
 // (sim.Hop), so each engine remains single-owner and the run is
 // bit-identical for every worker count. There is no coordinator-routed
 // I/O: the node API below is the same on one engine and on the fabric,
-// and only the caller's shard differs.
+// and only the caller's shard differs. The same holds for coordination:
+// each client's link (link.go) is a daemon hop to the broker's shard
+// and back, the very code that runs as direct calls on one engine.
 //
 // The fabric lookahead plays the role of the cluster's control-plane
 // RPC latency: a task launch, a completion report, a NIC-to-NIC hop
@@ -39,9 +41,6 @@
 package cluster
 
 import (
-	"ibis/internal/broker"
-	"ibis/internal/faults"
-	"ibis/internal/iosched"
 	"ibis/internal/sim"
 )
 
@@ -144,93 +143,3 @@ func (c *Cluster) CoordShard() *sim.Shard {
 // source NIC, crosses one inter-shard hop and completes on the
 // destination's shard, where the receiving pipeline continues. On a
 // single engine the same calls run with the hop as a direct call.
-
-// shardedTransport carries one coordination client's broker traffic
-// across the fabric: the request is a daemon message to the
-// coordinator shard — where the broker lives and the fault model is
-// evaluated — and the response a daemon message back. Daemon, because
-// periodic coordination must not keep the simulation alive.
-//
-// It implements broker.AsyncTransport; the synchronous
-// broker.Transport methods exist only to satisfy the interface type
-// and panic if called (the client prefers the async protocol whenever
-// a transport provides it).
-type shardedTransport struct {
-	b     *broker.Broker
-	inj   *faults.Injector // nil = reliable
-	shard *sim.Shard       // the client's node shard
-	coord *sim.Shard
-	seq   uint64 // per-client fate counter, advanced on the coordinator
-}
-
-var _ broker.Transport = (*shardedTransport)(nil)
-var _ broker.AsyncTransport = (*shardedTransport)(nil)
-
-// ExchangeAsync implements broker.AsyncTransport. Fates are evaluated
-// on the coordinator at arrival time with a per-client sequence
-// counter: messages from one client arrive in send order, so the
-// counter — and with it every fault roll — is independent of how other
-// clients' traffic interleaves.
-func (t *shardedTransport) ExchangeAsync(id string, vec map[iosched.AppID]float64, done func(broker.Response, error)) {
-	src := t.shard.ID()
-	t.shard.PostDaemon(t.coord.ID(), 0, func() {
-		var fate faults.MsgFate
-		if t.inj != nil {
-			fate = t.inj.Fate(id, t.seq, t.coord.Engine().Now())
-			t.seq++
-		}
-		if fate.Unavailable {
-			t.coord.PostDaemon(src, 0, func() { done(broker.Response{}, broker.ErrUnavailable) })
-			return
-		}
-		if fate.ReqDrop {
-			return // lost in flight; the client's timeout covers it
-		}
-		resp := t.b.Exchange(id, vec)
-		if fate.RespDrop {
-			return // report applied, response lost
-		}
-		t.coord.PostDaemon(src, fate.Delay, func() { done(resp, nil) })
-	})
-}
-
-// RegisterAsync implements broker.AsyncTransport.
-func (t *shardedTransport) RegisterAsync(id string, done func(error)) {
-	src := t.shard.ID()
-	t.shard.PostDaemon(t.coord.ID(), 0, func() {
-		var fate faults.MsgFate
-		if t.inj != nil {
-			fate = t.inj.Fate(id, t.seq, t.coord.Engine().Now())
-			t.seq++
-		}
-		if fate.Unavailable {
-			t.coord.PostDaemon(src, 0, func() { done(broker.ErrUnavailable) })
-			return
-		}
-		if fate.ReqDrop {
-			return
-		}
-		t.b.Register(id)
-		if fate.RespDrop {
-			return
-		}
-		t.coord.PostDaemon(src, fate.Delay, func() { done(nil) })
-	})
-}
-
-// Exchange implements broker.Transport (type only — never called).
-func (t *shardedTransport) Exchange(string, map[iosched.AppID]float64) (broker.Response, float64, error) {
-	panic("cluster: sharded transport is async-only")
-}
-
-// Register implements broker.Transport (type only — never called).
-func (t *shardedTransport) Register(string) (float64, error) {
-	panic("cluster: sharded transport is async-only")
-}
-
-// Unregister implements broker.Transport. Out-of-band death detection
-// crosses the fabric like everything else; it is called from the
-// client's shard (Detach).
-func (t *shardedTransport) Unregister(id string) {
-	t.shard.PostDaemon(t.coord.ID(), 0, func() { t.b.Unregister(id) })
-}

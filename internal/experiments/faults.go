@@ -162,7 +162,7 @@ func faultRun(sc FaultScenario, nodes int) (FaultMatrixRow, error) {
 	cl.Instrument(func(node int, dev string, sched iosched.Scheduler) iosched.Probe {
 		return au.Probe(node, dev, sched)
 	})
-	cl.SetDegradeObserver(au.NoteDegradeStart, au.NoteDegradeEnd)
+	cl.SetDegradeObserver(au.NoteDegradeStart, au.NoteDegradeEnd, au.NoteCapacityDegrade)
 
 	var wide, narrow float64
 	backlog := func(n *cluster.Node, app iosched.AppID, weight float64, served *float64) {

@@ -119,7 +119,7 @@ func Reweight(spec ReweightSpec) (*ReweightResult, error) {
 	cl.Instrument(func(node int, dev string, sched iosched.Scheduler) iosched.Probe {
 		return au.Probe(node, dev, sched)
 	})
-	cl.SetDegradeObserver(au.NoteDegradeStart, au.NoteDegradeEnd)
+	cl.SetDegradeObserver(au.NoteDegradeStart, au.NoteDegradeEnd, au.NoteCapacityDegrade)
 	tree.OnChange(func(tr shares.Transition) { au.NoteEpochChange(tr.Time) })
 
 	var hot, base float64

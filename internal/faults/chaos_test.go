@@ -61,7 +61,7 @@ func chaosRun(t *testing.T, spec faults.Spec, nodes int) chaosOutcome {
 	cl.Instrument(func(node int, dev string, sched iosched.Scheduler) iosched.Probe {
 		return au.Probe(node, dev, sched)
 	})
-	cl.SetDegradeObserver(au.NoteDegradeStart, au.NoteDegradeEnd)
+	cl.SetDegradeObserver(au.NoteDegradeStart, au.NoteDegradeEnd, au.NoteCapacityDegrade)
 
 	var wide, narrow float64
 	backlog := func(n *cluster.Node, app iosched.AppID, weight float64, served *float64) {
@@ -165,6 +165,29 @@ func TestChaosRandomSchedulesAuditClean(t *testing.T) {
 		if out.Health.Failures == 0 {
 			t.Errorf("seed %d: schedule exercised no failures", seed)
 		}
+	}
+}
+
+// TestChaosSweepFourNodes runs the 4-node chaos schedule over a spread
+// of seeds and demands zero violations on every one. At 4 nodes the
+// degrade targets include the narrow app's only disk, so this is where
+// a cluster-wide share check that ignores lost device capacity fails.
+func TestChaosSweepFourNodes(t *testing.T) {
+	const nodes = 4
+	engaged := 0
+	for seed := int64(1); seed <= 50; seed++ {
+		out := chaosRun(t, chaosSpec(seed, nodes), nodes)
+		if out.Violations != 0 {
+			t.Errorf("seed %d: %d fault-aware invariant violations, want 0", seed, out.Violations)
+		}
+		if out.TotalChecks > 0 {
+			engaged++
+		}
+	}
+	// The sweep must not pass by skipping: most seeds still run the
+	// cluster total-share check.
+	if engaged < 40 {
+		t.Errorf("total-share check engaged on %d of 50 seeds, want ≥ 40", engaged)
 	}
 }
 

@@ -17,10 +17,6 @@ package faults
 import (
 	"math/rand"
 	"sort"
-
-	"ibis/internal/broker"
-	"ibis/internal/iosched"
-	"ibis/internal/sim"
 )
 
 // Window is a half-open virtual-time interval [Start, End).
@@ -381,7 +377,8 @@ type MsgFate struct {
 	Unavailable bool
 	// ReqDrop / RespDrop: the request (resp. response) is lost in
 	// flight. A dropped request never reaches the broker; a dropped
-	// response leaves the report applied but the client unanswered.
+	// response leaves the report applied. The coordination link
+	// reports either loss to the client as a lost message.
 	ReqDrop, RespDrop bool
 	// Delay is extra response latency in seconds (0 = none rolled).
 	Delay float64
@@ -389,9 +386,9 @@ type MsgFate struct {
 
 // Fate evaluates the fate of message seq from client id at virtual
 // time now. It is a pure function of (seed, id, seq, now), so callers
-// that keep their own per-client sequence counters — the sharded
-// transport, whose messages from different clients have no global
-// order — get fates independent of cross-client interleaving.
+// that keep their own per-client sequence counters — the coordination
+// link, whose messages from different clients have no global order on
+// the fabric — get fates independent of cross-client interleaving.
 func (inj *Injector) Fate(id string, seq uint64, now float64) MsgFate {
 	var f MsgFate
 	if inj.BrokerDown(now) || inj.Partitioned(id, now) {
@@ -435,72 +432,3 @@ func itoa(i int) string {
 	}
 	return string(buf[pos:])
 }
-
-// Transport implements broker.Transport with the injector's faults
-// applied to every round trip. The uplink is modeled as instantaneous
-// (the broker applies a surviving report at send time); rtt delays only
-// the response's arrival at the client, which is where loss, staleness
-// and reordering matter for the protocol.
-type Transport struct {
-	eng *sim.Engine
-	inj *Injector
-	b   *broker.Broker
-	seq uint64
-}
-
-var _ broker.Transport = (*Transport)(nil)
-
-// NewTransport wires an injector in front of a broker.
-func NewTransport(eng *sim.Engine, inj *Injector, b *broker.Broker) *Transport {
-	return &Transport{eng: eng, inj: inj, b: b}
-}
-
-// Exchange implements broker.Transport.
-func (t *Transport) Exchange(id string, vec map[iosched.AppID]float64) (broker.Response, float64, error) {
-	now := t.eng.Now()
-	seq := t.seq
-	t.seq++
-	if t.inj.BrokerDown(now) || t.inj.Partitioned(id, now) {
-		return broker.Response{}, 0, broker.ErrUnavailable
-	}
-	if t.inj.dropProb > 0 && t.inj.roll(saltReqDrop, id, seq) < t.inj.dropProb {
-		return broker.Response{}, 0, broker.ErrLost
-	}
-	resp := t.b.Exchange(id, vec)
-	if t.inj.respDropProb > 0 && t.inj.roll(saltRespDrop, id, seq) < t.inj.respDropProb {
-		return broker.Response{}, 0, broker.ErrLost
-	}
-	var rtt float64
-	if t.inj.delayProb > 0 && t.inj.roll(saltDelay, id, seq) < t.inj.delayProb {
-		rtt = t.inj.delayMin + (t.inj.delayMax-t.inj.delayMin)*t.inj.roll(saltDelayAmt, id, seq)
-	}
-	return resp, rtt, nil
-}
-
-// Register implements broker.Transport: the handshake rides the same
-// faulty channel as exchanges.
-func (t *Transport) Register(id string) (float64, error) {
-	now := t.eng.Now()
-	seq := t.seq
-	t.seq++
-	if t.inj.BrokerDown(now) || t.inj.Partitioned(id, now) {
-		return 0, broker.ErrUnavailable
-	}
-	if t.inj.dropProb > 0 && t.inj.roll(saltReqDrop, id, seq) < t.inj.dropProb {
-		return 0, broker.ErrLost
-	}
-	t.b.Register(id)
-	if t.inj.respDropProb > 0 && t.inj.roll(saltRespDrop, id, seq) < t.inj.respDropProb {
-		return 0, broker.ErrLost
-	}
-	var rtt float64
-	if t.inj.delayProb > 0 && t.inj.roll(saltDelay, id, seq) < t.inj.delayProb {
-		rtt = t.inj.delayMin + (t.inj.delayMax-t.inj.delayMin)*t.inj.roll(saltDelayAmt, id, seq)
-	}
-	return rtt, nil
-}
-
-// Unregister implements broker.Transport. Node death is detected out
-// of band (the resource manager's liveness tracking), so it is not
-// subject to message faults.
-func (t *Transport) Unregister(id string) { t.b.Unregister(id) }

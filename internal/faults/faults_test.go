@@ -4,10 +4,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-
-	"ibis/internal/broker"
-	"ibis/internal/iosched"
-	"ibis/internal/sim"
 )
 
 func TestWindowContains(t *testing.T) {
@@ -181,81 +177,6 @@ func TestClientIDs(t *testing.T) {
 	}
 	if ids := ClientIDs(12); ids[22] != "node11-hdfs" {
 		t.Errorf("ClientIDs(12)[22] = %s, want node11-hdfs", ids[22])
-	}
-}
-
-func TestTransportOutageAndPartition(t *testing.T) {
-	eng := sim.NewEngine()
-	b := broker.New()
-	tr := NewTransport(eng, New(Spec{
-		Outages:    []Window{{Start: 10, End: 20}},
-		Partitions: map[string][]Window{"n0": {{Start: 30, End: 40}}},
-	}), b)
-
-	vec := map[iosched.AppID]float64{"a": 1}
-	if _, _, err := tr.Exchange("n0", vec); err != nil {
-		t.Fatalf("healthy exchange failed: %v", err)
-	}
-	eng.Schedule(15, func() {
-		if _, _, err := tr.Exchange("n0", vec); err != broker.ErrUnavailable {
-			t.Errorf("exchange during outage: err = %v, want ErrUnavailable", err)
-		}
-		if _, err := tr.Register("n0"); err != broker.ErrUnavailable {
-			t.Errorf("register during outage: err = %v, want ErrUnavailable", err)
-		}
-	})
-	eng.Schedule(35, func() {
-		if _, _, err := tr.Exchange("n0", vec); err != broker.ErrUnavailable {
-			t.Errorf("exchange while partitioned: err = %v, want ErrUnavailable", err)
-		}
-		if _, _, err := tr.Exchange("n1", vec); err != nil {
-			t.Errorf("unpartitioned peer blocked: %v", err)
-		}
-	})
-	eng.Run()
-}
-
-func TestTransportRequestDropNeverReachesBroker(t *testing.T) {
-	eng := sim.NewEngine()
-	b := broker.New()
-	tr := NewTransport(eng, New(Spec{DropProb: 1}), b)
-	b.Register("n0")
-	if _, _, err := tr.Exchange("n0", map[iosched.AppID]float64{"a": 7}); err != broker.ErrLost {
-		t.Fatalf("err = %v, want ErrLost", err)
-	}
-	if got := b.Total("a"); got != 0 {
-		t.Errorf("dropped request still applied: Total(a) = %v", got)
-	}
-}
-
-func TestTransportResponseDropAppliesReport(t *testing.T) {
-	eng := sim.NewEngine()
-	b := broker.New()
-	tr := NewTransport(eng, New(Spec{RespDropProb: 1}), b)
-	b.Register("n0")
-	if _, _, err := tr.Exchange("n0", map[iosched.AppID]float64{"a": 7}); err != broker.ErrLost {
-		t.Fatalf("err = %v, want ErrLost", err)
-	}
-	// The loss is on the downlink: the broker did see the report. The
-	// client's idempotent cumulative vector makes the retry harmless.
-	if got := b.Total("a"); got != 7 {
-		t.Errorf("Total(a) = %v, want 7 (uplink delivered)", got)
-	}
-}
-
-func TestTransportDelayBounds(t *testing.T) {
-	eng := sim.NewEngine()
-	b := broker.New()
-	tr := NewTransport(eng, New(Spec{DelayProb: 1, DelayMin: 0.1, DelayMax: 0.2}), b)
-	b.Register("n0")
-	for i := 0; i < 64; i++ {
-		_, rtt, err := tr.Exchange("n0", map[iosched.AppID]float64{"a": float64(i)})
-		if err != nil {
-			t.Fatalf("exchange %d: %v", i, err)
-		}
-		if rtt < 0.1 || rtt > 0.2 {
-			t.Fatalf("rtt %v outside [0.1, 0.2]", rtt)
-		}
 	}
 }
 

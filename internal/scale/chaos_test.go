@@ -1,9 +1,9 @@
 package scale
 
 // Chaos-at-scale: a 200-node hollow cluster coordinating through
-// broker.AsyncTransport while the fault injector runs a full broker
-// outage, partitions individual clients, and drops/delays exchange
-// messages. The run must stay audit-clean (the degrade observer marks
+// per-client links across the fabric while the fault injector runs a
+// full broker outage, partitions individual clients, and drops/delays
+// exchange messages. The run must stay audit-clean (the degrade observer marks
 // the graceful fallback to local fairness during disconnection) and —
 // because every per-message fault roll is a pure function of
 // (client id, seq) — the completion digest must be bit-identical

@@ -354,7 +354,10 @@ func Run(cfg Config) (*Report, error) {
 					if node%cfg.AuditSampleEvery == 0 {
 						deferred.NoteDegradeEnd(node+1, node, dev, t)
 					}
-				})
+				},
+				// Called before the run: the auditor is still
+				// single-owner.
+				auditor.NoteCapacityDegrade)
 		}
 	}
 

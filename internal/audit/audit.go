@@ -33,8 +33,8 @@
 //     tenant-pair difference is bounded by the worst member-pair
 //     bound — checked per window, locally and cluster-wide;
 //   - broker-conservation: the sum of the schedulers' reported local
-//     service vectors equals the broker's global totals, checked at
-//     every exchange.
+//     service vectors equals the broker's global totals, for every app
+//     on either side, checked at every exchange.
 //
 // Live reweights (share-tree epoch changes) open a bounded
 // reconvergence window: share checks are suspended for windows
@@ -416,18 +416,15 @@ func (a *Auditor) violate(v Violation) {
 }
 
 // checkBroker verifies that the per-app sum of the latest local service
-// vectors equals the broker's incrementally maintained totals.
+// vectors equals the broker's incrementally maintained totals, in both
+// directions.
 func (a *Auditor) checkBroker(b *broker.Broker) {
 	a.count("broker-conservation")
-	sums := b.ReportedTotals()
-	for _, app := range b.Apps() {
-		total := b.Total(app)
-		if diff := math.Abs(sums[app] - total); diff > 1e-6*math.Max(1, math.Abs(total)) {
-			a.violate(Violation{
-				Time: a.lastTime, Invariant: "broker-conservation", Node: -1, App: app,
-				Detail: fmt.Sprintf("sum of reports %.6g != broker total %.6g (diff %.3g)", sums[app], total, diff),
-			})
-		}
+	if err := b.CheckConservation(); err != nil {
+		a.violate(Violation{
+			Time: a.lastTime, Invariant: "broker-conservation", Node: -1,
+			Detail: err.Error(),
+		})
 	}
 }
 

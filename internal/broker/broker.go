@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ibis/internal/iosched"
@@ -83,9 +84,16 @@ type Broker struct {
 	// Retire scrubbed, so Revive can restore exact continuity instead
 	// of rebuilding the total piecemeal from future exchanges.
 	retireSnaps map[iosched.AppID]map[string]float64
-	shares      ShareView
-	stats       Stats
-	probe       Probe
+	// members groups the apps of totals by tenant, each group sorted, so
+	// a tenant aggregate costs O(its members) rather than a sort of every
+	// known app. Every change to the key set of totals sets it to nil,
+	// and the next reader rebuilds it. It is valid for the share-tree
+	// epoch membersEpoch.
+	members      map[string][]iosched.AppID
+	membersEpoch uint64
+	shares       ShareView
+	stats        Stats
+	probe        Probe
 }
 
 // ShareView is the slice of the share tree the coordination plane
@@ -100,7 +108,10 @@ type ShareView interface {
 
 // SetShares attaches the share tree the broker aggregates tenants
 // against (nil reverts to implicit singleton tenants).
-func (b *Broker) SetShares(v ShareView) { b.shares = v }
+func (b *Broker) SetShares(v ShareView) {
+	b.shares = v
+	b.members = nil
+}
 
 func (b *Broker) tenantOf(app iosched.AppID) string {
 	if b.shares != nil {
@@ -164,6 +175,7 @@ func (b *Broker) ResetReports() {
 	b.reports = make(map[string]map[iosched.AppID]float64)
 	b.totals = make(map[iosched.AppID]float64)
 	b.retireSnaps = make(map[iosched.AppID]map[string]float64)
+	b.members = nil
 }
 
 // Exchange is one coordination round trip for the named scheduler: it
@@ -186,7 +198,11 @@ func (b *Broker) Exchange(scheduler string, vector map[iosched.AppID]float64) Re
 		if b.retired[app] {
 			continue
 		}
-		b.totals[app] += cum - prev[app]
+		total, known := b.totals[app]
+		b.totals[app] = total + (cum - prev[app])
+		if !known {
+			b.members = nil
+		}
 		prev[app] = cum
 		up++
 	}
@@ -197,23 +213,19 @@ func (b *Broker) Exchange(scheduler string, vector map[iosched.AppID]float64) Re
 		}
 		resp.Apps[app] = b.totals[app]
 	}
-	// Tenant aggregates: for every tenant owning a reported app, sum
-	// the totals of all that tenant's apps. The accumulation iterates
-	// apps in sorted order so float rounding is deterministic across
-	// runs regardless of map layout.
-	need := make(map[string]bool, len(resp.Apps))
+	// Tenant aggregates: for every tenant owning a reported app, sum the
+	// totals of all that tenant's apps. Each member list is sorted, so
+	// the additions run in sorted app order and float rounding is
+	// deterministic regardless of map layout.
+	members := b.groups()
+	resp.Tenants = make(map[string]float64, len(resp.Apps))
 	for app := range resp.Apps {
-		need[b.tenantOf(app)] = true
-	}
-	resp.Tenants = make(map[string]float64, len(need))
-	for _, app := range b.Apps() {
-		if t := b.tenantOf(app); need[t] {
-			resp.Tenants[t] += b.totals[app]
+		t := b.tenantOf(app)
+		if _, done := resp.Tenants[t]; !done {
+			resp.Tenants[t] = b.sumOf(members[t])
 		}
 	}
-	if b.shares != nil {
-		resp.Epoch = b.shares.Epoch()
-	}
+	resp.Epoch = b.epoch()
 	b.stats.Exchanges++
 	b.stats.EntriesUp += uint64(up)
 	b.stats.EntriesDown += uint64(len(resp.Apps))
@@ -248,6 +260,7 @@ func (b *Broker) Unregister(scheduler string) {
 		b.totals[app] -= cum
 	}
 	b.pruneUnbacked()
+	b.members = nil
 }
 
 // Retire drops an application that finished: its entries are pruned
@@ -276,6 +289,7 @@ func (b *Broker) Retire(app iosched.AppID) {
 		b.retireSnaps[app] = snap
 	}
 	delete(b.totals, app)
+	b.members = nil
 }
 
 // Revive reverses Retire for an application that starts doing I/O again
@@ -313,6 +327,7 @@ func (b *Broker) Revive(app iosched.AppID) {
 	}
 	if total > 0 {
 		b.totals[app] = total
+		b.members = nil
 	}
 	delete(b.finals, app)
 }
@@ -350,6 +365,35 @@ func (b *Broker) ReportedTotals() map[iosched.AppID]float64 {
 	return sums
 }
 
+// CheckConservation verifies the broker's books in both directions: the
+// per-app sum of the latest report vectors must match the incrementally
+// maintained totals for every app in either, within 1e-6 relative
+// (float deltas accumulate rounding). An app missing from one side
+// counts as zero there, so a total that lost its key and a key with no
+// backing report are both caught. It returns the discrepancy of the
+// smallest offending app, so the report does not depend on map order.
+func (b *Broker) CheckConservation() error {
+	var bad iosched.AppID
+	var err error
+	check := func(app iosched.AppID, sum, total float64) {
+		diff := math.Abs(sum - total)
+		if diff > 1e-6*math.Max(1, math.Abs(total)) && (err == nil || app < bad) {
+			bad = app
+			err = fmt.Errorf("broker: conservation: app %s sum of reports %.6g != broker total %.6g (diff %.3g)", app, sum, total, diff)
+		}
+	}
+	sums := b.ReportedTotals()
+	for app, total := range b.totals {
+		check(app, sums[app], total)
+	}
+	for app, sum := range sums {
+		if _, ok := b.totals[app]; !ok {
+			check(app, sum, 0)
+		}
+	}
+	return err
+}
+
 // Total returns the cluster-wide cumulative service for one app. For a
 // retired app this is its tombstoned final total (a revived app
 // resumes live accounting at its first exchange).
@@ -371,14 +415,52 @@ func (b *Broker) Apps() []iosched.AppID {
 }
 
 // TenantTotals aggregates the live per-app totals by tenant,
-// accumulating in sorted-app order for deterministic rounding. Used by
-// the audit layer's cluster-wide hierarchical invariant.
+// accumulating each tenant's members in sorted order for deterministic
+// rounding. Used by the audit layer's cluster-wide hierarchical
+// invariant.
 func (b *Broker) TenantTotals() map[string]float64 {
-	out := make(map[string]float64)
-	for _, app := range b.Apps() {
-		out[b.tenantOf(app)] += b.totals[app]
+	members := b.groups()
+	out := make(map[string]float64, len(members))
+	for t, apps := range members {
+		out[t] = b.sumOf(apps)
 	}
 	return out
+}
+
+// groups returns the apps of totals grouped by tenant, each group
+// sorted, rebuilding the grouping when it is stale or the share tree
+// moved since it was built (a rebind always bumps the epoch).
+func (b *Broker) groups() map[string][]iosched.AppID {
+	if b.members == nil || b.epoch() != b.membersEpoch {
+		b.members = make(map[string][]iosched.AppID)
+		for app := range b.totals {
+			t := b.tenantOf(app)
+			b.members[t] = append(b.members[t], app)
+		}
+		for _, apps := range b.members {
+			slices.Sort(apps)
+		}
+		b.membersEpoch = b.epoch()
+	}
+	return b.members
+}
+
+// sumOf adds the totals of apps in slice order, starting from zero —
+// the same additions, in the same order, as a pass over every sorted
+// app filtered to one tenant.
+func (b *Broker) sumOf(apps []iosched.AppID) float64 {
+	sum := 0.0
+	for _, app := range apps {
+		sum += b.totals[app]
+	}
+	return sum
+}
+
+func (b *Broker) epoch() uint64 {
+	if b.shares == nil {
+		return 0
+	}
+	return b.shares.Epoch()
 }
 
 // Schedulers returns the registered scheduler ids, sorted.

@@ -249,5 +249,15 @@ func (d *DeltaDec) State() map[string]int64 {
 	return out
 }
 
+// each calls fn for every nonzero mirror entry, in place — the
+// allocation-free form of State for the root's per-uplink probes.
+func (d *DeltaDec) each(fn func(name string, v int64)) {
+	for i, v := range d.prev {
+		if v != 0 {
+			fn(d.names[i], v)
+		}
+	}
+}
+
 // Seq returns the sequence number of the last applied message.
 func (d *DeltaDec) Seq() uint64 { return d.seq }

@@ -361,9 +361,7 @@ func (a *Aggregator) refreshEpoch() {
 	}
 	for _, ap := range a.parts {
 		ap.tenantQ = make(map[string]int64)
-		for app, q := range ap.dec.State() {
-			ap.tenantQ[a.tenant(app)] += q
-		}
+		ap.dec.each(func(app string, q int64) { ap.tenantQ[a.tenant(app)] += q })
 	}
 }
 
@@ -443,9 +441,7 @@ func (a *Aggregator) Stats() FedStats { return a.stats }
 func (a *Aggregator) CheckConservation() error {
 	sums := make(map[string]int64, len(a.globalApp))
 	for _, ap := range a.parts {
-		for app, q := range ap.dec.State() {
-			sums[app] += q
-		}
+		ap.dec.each(func(app string, q int64) { sums[app] += q })
 	}
 	for app, q := range a.globalApp {
 		if sums[app] != q {
@@ -473,9 +469,7 @@ func (a *Aggregator) CheckConservation() error {
 	}
 	for p, ap := range a.parts {
 		regroup := make(map[string]int64, len(ap.tenantQ))
-		for app, q := range ap.dec.State() {
-			regroup[a.tenant(app)] += q
-		}
+		ap.dec.each(func(app string, q int64) { regroup[a.tenant(app)] += q })
 		for t, q := range regroup {
 			if ap.tenantQ[t] != q {
 				return fmt.Errorf("broker: federation conservation: partition %d tenant %s hosted %d != regrouped %d", p, t, ap.tenantQ[t], q)

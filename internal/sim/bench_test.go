@@ -5,8 +5,9 @@ import (
 )
 
 // BenchmarkEngineEventLoop measures the steady-state cost of one
-// schedule/cancel/fire cycle. With the generation-counted freelist and
-// the specialized heap it must report 0 allocs/op — CI fails otherwise.
+// schedule/cancel/fire cycle on the engine's single (time, seq)
+// min-heap. With the generation-counted freelist it must report
+// 0 allocs/op — CI fails otherwise.
 func BenchmarkEngineEventLoop(b *testing.B) {
 	e := NewEngine()
 	nop := func() {}
